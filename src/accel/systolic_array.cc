@@ -6,14 +6,11 @@ namespace {
 
 #if defined(__x86_64__) && defined(__gnu_linux__) && \
     (defined(__GNUC__) || defined(__clang__)) && \
-    __has_attribute(target_clones) && !defined(__SANITIZE_THREAD__)
+    __has_attribute(target_clones)
 /// Per-function multiversioning: the build stays baseline-portable, but on
 /// hosts with wider vector units the loader binds the AVX2/AVX-512 clone
 /// of this kernel. Integer math is exact in every clone, so the dispatch
 /// cannot affect results — only the MACs/s of the functional model.
-/// Disabled under ThreadSanitizer: target_clones emits an ifunc whose
-/// resolver runs before the TSan runtime is initialized, which segfaults
-/// any binary linking this TU before it reaches main().
 #define ACCESYS_DOT_CLONES \
     __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
 #else

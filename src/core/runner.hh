@@ -516,9 +516,8 @@ class Runner {
     /// run (failures + successes). Determinism contract: ties break by the
     /// lowest endpoint index — the scan is an ascending-index pass with a
     /// strict `<`, so selection is a pure function of the health table and
-    /// never of any host-side iteration order that could vary between
-    /// ACCESYS_THREADS values. Shared by run_failover() re-dispatch and
-    /// serve() so both paths inherit the same guarantee.
+    /// never of any host-side iteration order. Shared by run_failover()
+    /// re-dispatch and serve() so both paths inherit the same guarantee.
     static std::ptrdiff_t least_loaded(const std::vector<EpHealth>& health,
                                        const std::vector<bool>& claimed,
                                        EndpointHealth want);

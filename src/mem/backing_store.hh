@@ -4,24 +4,14 @@
 // transaction logically completes. Storage is allocated lazily in fixed
 // chunks so multi-GB address spaces cost only what is touched.
 //
-// Thread-safety (parallel event core): domains only ever touch disjoint
-// byte ranges concurrently (device-local regions belong to their domain;
-// device->host data is staged through per-domain WriteJournals and applied
-// at barriers), so the payload bytes need no synchronization. The chunk
-// *directory* is shared, though — a domain faulting in a device-memory
-// chunk must not race the root thread probing a host chunk — so directory
-// lookups take a shared lock and chunk creation an exclusive one. The
-// last-chunk memo that keeps streaming accesses off the map entirely is
-// thread-local (keyed by a never-reused store id), which keeps the fast
-// path lock-free on every thread.
+// A one-entry last-chunk memo keeps streaming accesses off the chunk map
+// entirely; chunk payloads never move once allocated, so a memoed pointer
+// stays valid for the store's lifetime.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <unordered_map>
 
 #include "sim/error.hh"
@@ -32,20 +22,6 @@ class Ckpt;
 }
 
 namespace accesys::mem {
-
-namespace detail {
-
-/// Per-thread last-chunk memo. Keyed by a unique store id (not the store
-/// address) so a store recycled at the same address can never satisfy a
-/// stale entry.
-struct StoreMemo {
-    std::uint64_t store_id = 0;
-    std::uint64_t key = ~std::uint64_t{0};
-    std::uint8_t* chunk = nullptr;
-};
-inline thread_local StoreMemo t_store_memo;
-
-} // namespace detail
 
 class BackingStore {
   public:
@@ -148,7 +124,6 @@ class BackingStore {
 
     [[nodiscard]] std::size_t chunks_allocated() const
     {
-        std::shared_lock rd(mu_);
         return chunks_.size();
     }
 
@@ -162,64 +137,39 @@ class BackingStore {
     std::uint8_t* chunk_for(Addr addr)
     {
         const std::uint64_t key = addr / kChunkBytes;
-        auto& memo = detail::t_store_memo;
-        if (memo.store_id == id_ && memo.key == key) {
-            return memo.chunk;
+        if (memo_key_ == key) {
+            return memo_chunk_;
         }
-        std::uint8_t* c = nullptr;
-        {
-            std::shared_lock rd(mu_);
-            const auto it = chunks_.find(key);
-            if (it != chunks_.end()) {
-                c = it->second.get();
-            }
+        auto& slot = chunks_[key];
+        if (!slot) {
+            slot = std::make_unique<std::uint8_t[]>(kChunkBytes);
+            std::memset(slot.get(), 0, kChunkBytes);
         }
-        if (c == nullptr) {
-            std::unique_lock wr(mu_);
-            auto& slot = chunks_[key];
-            if (!slot) {
-                slot = std::make_unique<std::uint8_t[]>(kChunkBytes);
-                std::memset(slot.get(), 0, kChunkBytes);
-            }
-            c = slot.get();
-        }
-        memo = {id_, key, c};
-        return c;
+        memo_key_ = key;
+        memo_chunk_ = slot.get();
+        return memo_chunk_;
     }
 
     [[nodiscard]] const std::uint8_t* find_chunk(Addr addr) const
     {
         const std::uint64_t key = addr / kChunkBytes;
-        auto& memo = detail::t_store_memo;
-        if (memo.store_id == id_ && memo.key == key) {
-            return memo.chunk;
+        if (memo_key_ == key) {
+            return memo_chunk_;
         }
-        std::uint8_t* c = nullptr;
-        {
-            std::shared_lock rd(mu_);
-            const auto it = chunks_.find(key);
-            if (it != chunks_.end()) {
-                c = it->second.get();
-            }
+        const auto it = chunks_.find(key);
+        if (it == chunks_.end()) {
+            return nullptr;
         }
-        if (c != nullptr) {
-            memo = {id_, key, c};
-        }
-        return c;
-    }
-
-    [[nodiscard]] static std::uint64_t next_store_id() noexcept
-    {
-        static std::atomic<std::uint64_t> n{0};
-        return n.fetch_add(1, std::memory_order_relaxed) + 1;
+        memo_key_ = key;
+        memo_chunk_ = it->second.get();
+        return memo_chunk_;
     }
 
     std::unordered_map<std::uint64_t, std::unique_ptr<std::uint8_t[]>>
         chunks_;
-    /// Guards the chunk directory only (chunk payloads are stable once
-    /// allocated, so memoed pointers stay valid without the lock).
-    mutable std::shared_mutex mu_;
-    const std::uint64_t id_ = next_store_id();
+    /// Last chunk touched (never a missing one): its key and payload.
+    mutable std::uint64_t memo_key_ = ~std::uint64_t{0};
+    mutable std::uint8_t* memo_chunk_ = nullptr;
 };
 
 } // namespace accesys::mem

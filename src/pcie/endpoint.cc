@@ -124,8 +124,7 @@ void Endpoint::process_delayed()
         pcie_port_->release_ingress(ingress_cost);
     }
     if (!delay_q_.empty() && !process_event_.scheduled()) {
-        eq().schedule_express(process_event_,
-                                       delay_q_.front().ready);
+        eq().schedule_express(process_event_, delay_q_.front().ready);
     }
 }
 

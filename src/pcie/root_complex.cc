@@ -150,8 +150,7 @@ void RootComplex::process_delayed()
         delay_q_.pop_front();
     }
     if (!delay_q_.empty() && !process_event_.scheduled()) {
-        eq().schedule_express(process_event_,
-                                       delay_q_.front().ready);
+        eq().schedule_express(process_event_, delay_q_.front().ready);
     }
 }
 

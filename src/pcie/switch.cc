@@ -44,8 +44,7 @@ void PcieSwitch::forward_delayed()
         }
     }
     if (!delay_q_.empty()) {
-        eq().schedule_express(forward_event_,
-                                       delay_q_.front().ready);
+        eq().schedule_express(forward_event_, delay_q_.front().ready);
     }
 }
 

@@ -33,8 +33,7 @@ TlpPool& TlpPool::global()
     return *pool;
 }
 
-thread_local TlpPool* TlpPool::current_ = nullptr;
-std::atomic<std::uint64_t> TlpPool::lifetime_allocs_{0};
+std::uint64_t TlpPool::lifetime_allocs_ = 0;
 
 void Tlp::serialize(Ckpt& ar)
 {
@@ -59,7 +58,7 @@ void ckpt_tlp(Ckpt& ar, TlpPtr& tlp)
         return;
     }
     if (ar.loading()) {
-        tlp = TlpPool::current().make();
+        tlp = TlpPool::global().make();
     }
     tlp->serialize(ar);
 }

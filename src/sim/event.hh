@@ -164,8 +164,7 @@ class EventQueue {
     {
         heap_.reserve(64);
         // Cached process-wide snapshot (sim/env_flags.hh): no getenv() on
-        // any path, and every queue — root or domain — agrees by
-        // construction.
+        // any path.
         batch_enabled_ = !env_flags().no_batch;
         fusion_enabled_ = !env_flags().no_hop_fusion;
     }
@@ -385,23 +384,6 @@ class EventQueue {
     /// Clock + schedule counter + saved live-entry count. Load side must
     /// run after restore_begin() and before any component section.
     void serialize_clock(Ckpt& ar);
-
-    /// Cross-layout restore: seed this queue's clock and schedule counter
-    /// directly when the snapshot was taken under a different domain
-    /// carve (no per-queue record maps onto it). Seeding the saving
-    /// process's maximum sequence makes every post-resume schedule order
-    /// after every restored key, exactly as it would have there.
-    void seed_clock(Tick now, std::uint64_t seq) noexcept
-    {
-        now_ = now;
-        next_seq_ = seq;
-    }
-
-    /// Monotonic schedule-sequence counter (tie-break + generation stamp).
-    [[nodiscard]] std::uint64_t next_seq() const noexcept
-    {
-        return next_seq_;
-    }
 
     /// Dispatch-path counters. Load side must run after every component
     /// section (restoration itself bumps them; the saved values win).

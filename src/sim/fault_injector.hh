@@ -12,10 +12,8 @@
 // seeded from (plan.seed, site_id, channel).
 //
 // Determinism contract: sites are registered in topology construction
-// order, which is single-threaded and independent of ACCESYS_THREADS, and
-// each direction's stream is drawn only by the domain thread that owns
-// that direction's transmit side. A fixed plan therefore produces
-// bit-identical results for any worker-thread count (locked by
+// order and each stream is drawn in event-dispatch order, so a fixed plan
+// produces bit-identical results run after run (locked by
 // test_pool_determinism). ACCESYS_FAULTS=0 disables the whole subsystem —
 // a populated plan then behaves exactly like an absent one.
 //

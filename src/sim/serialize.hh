@@ -2,10 +2,10 @@
 // per-section CRCs.
 //
 // A checkpoint captures the complete dynamic state of a simulation at a
-// quiescent point (any inter-event point when serial, a window barrier when
-// parallel) so a fresh process can rebuild the same `SystemConfig`,
-// `Simulator::restore()` the file, and resume with results bit-identical to
-// the uninterrupted run (see ROADMAP "Checkpoint/restore").
+// quiescent point (any inter-event point, or outside run()) so a fresh
+// process can rebuild the same `SystemConfig`, `Simulator::restore()` the
+// file, and resume with results bit-identical to the uninterrupted run
+// (see ROADMAP "Checkpoint/restore").
 //
 // One `Ckpt` object serves both directions: every component implements a
 // single `serialize(Ckpt&)` that reads or writes depending on the archive's
@@ -52,7 +52,9 @@ inline constexpr std::uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
 class Ckpt {
   public:
     // v2: poison bit on Tlp/Packet/InboundRead + endpoint/SMMU fault state.
-    static constexpr std::uint32_t kFormatVersion = 2;
+    // v3: single event queue — no per-domain clock/counter records, no
+    //     boundary-link staging or stat shadows.
+    static constexpr std::uint32_t kFormatVersion = 3;
     static constexpr char kMagic[8] = {'A', 'C', 'S', 'Y',
                                        'S', 'C', 'K', 'P'};
 
@@ -100,6 +102,9 @@ class Ckpt {
             ensure(read_pos_ + n <= read_end_,
                    "checkpoint section '", cur_name_,
                    "' truncated (field list mismatch)");
+            if (n == 0) {
+                return; // an empty vector's data() may be null
+            }
             std::memcpy(p, read_base_ + read_pos_, n);
             read_pos_ += n;
         }

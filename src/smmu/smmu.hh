@@ -281,7 +281,7 @@ class Smmu final : public SimObject,
 
     /// Per-stream seeded translation-fault source: a private Bernoulli
     /// stream (device_stream_seed(site, stream) — topology-keyed, so the
-    /// draw order is independent of ACCESYS_THREADS) plus the explicit
+    /// draw order is a pure function of the config) plus the explicit
     /// one-shot events targeting this stream.
     struct StreamFault {
         Rng rng{0};

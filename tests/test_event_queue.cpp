@@ -393,87 +393,6 @@ TEST(EventQueue, EarlyPriorityScheduledMidBatchRunsBeforeRemainder)
     EXPECT_EQ(order, (std::vector<int>{0, 9, 1, 2}));
 }
 
-TEST(Simulator, CrossDomainHandoffOrderIsDeterministic)
-{
-    // Generic model of the parallel core's barrier protocol: two carved
-    // domains free-run quantum-Q windows on worker threads, staging
-    // "handoff" records that per-domain barrier hooks inject into the
-    // root queue at stage tick + Q (the minimum cross-domain latency),
-    // in hook registration order. The delivered (tick, payload) log must
-    // match the serial semantics exactly — same-tick arrivals ordered by
-    // registration order, then staging order — for any worker count, run
-    // after run.
-    constexpr Tick kQ = 100;
-
-    struct Producer {
-        std::vector<std::pair<Tick, int>> staged; // (stage tick, payload)
-        Event ev{"produce", nullptr};
-        int fired = 0;
-    };
-
-    const auto run_once = [](unsigned threads) {
-        Simulator sim;
-        sim.set_threads(threads);
-        std::vector<std::pair<Tick, int>> log;
-        std::vector<std::unique_ptr<Event>> deliveries;
-
-        Producer a;
-        Producer b;
-        const std::size_t da = sim.begin_domain("a");
-        sim.end_domain();
-        const std::size_t db = sim.begin_domain("b");
-        sim.end_domain();
-        EventQueue& qa = *sim.domain(da).queue;
-        EventQueue& qb = *sim.domain(db).queue;
-
-        // Domain a stages at 10/110/210; domain b at 10/60/110/160, so
-        // the two domains collide at arrival ticks 110 and 210.
-        a.ev.set_callback([&a, &qa] {
-            a.staged.push_back({qa.now(), 100 + a.fired});
-            if (++a.fired < 3) {
-                qa.schedule(a.ev, qa.now() + 100);
-            }
-        });
-        b.ev.set_callback([&b, &qb] {
-            b.staged.push_back({qb.now(), 200 + b.fired});
-            if (++b.fired < 4) {
-                qb.schedule(b.ev, qb.now() + 50);
-            }
-        });
-        qa.schedule(a.ev, 10);
-        qb.schedule(b.ev, 10);
-
-        const auto flush = [&sim, &log, &deliveries](Producer& p) {
-            for (const auto& rec : p.staged) {
-                const int payload = rec.second;
-                auto ev = std::make_unique<Event>(
-                    "deliver", [&sim, &log, payload] {
-                        log.push_back({sim.queue().now(), payload});
-                    });
-                sim.queue().schedule(*ev, rec.first + kQ);
-                deliveries.push_back(std::move(ev));
-            }
-            p.staged.clear();
-        };
-        sim.register_barrier_hook([&flush, &a] { flush(a); });
-        sim.register_barrier_hook([&flush, &b] { flush(b); });
-        sim.set_quantum(kQ);
-
-        const auto rr = sim.run();
-        EXPECT_EQ(rr.cause, ExitCause::queue_drained);
-        return log;
-    };
-
-    const std::vector<std::pair<Tick, int>> expected{
-        {110, 100}, {110, 200}, {160, 201}, {210, 101},
-        {210, 202}, {260, 203}, {310, 102},
-    };
-    EXPECT_EQ(run_once(2), expected);
-    EXPECT_EQ(run_once(2), expected) << "run-to-run divergence";
-    EXPECT_EQ(run_once(4), expected)
-        << "worker count must not affect injection order";
-}
-
 TEST(Clocked, EdgeMath)
 {
     Clocked c(period_from_ghz(1.0)); // 1000 ticks

@@ -2,10 +2,9 @@
 // SimError carrying a per-component occupancy report — never hang. Two
 // scenario families from the robustness contract:
 //
-//   1. Credit leak on a boundary link (the peer stops releasing ingress
-//      buffers, so the transmitter starves forever). Serial runs surface
-//      this as a drain with jobs outstanding; parallel runs as K
-//      consecutive zero-event quanta.
+//   1. Credit leak on a link (the peer stops releasing ingress buffers,
+//      so the transmitter starves forever), surfaced by the poll cap or
+//      as a drain with jobs outstanding.
 //   2. A job dispatched toward a latched-failed link (replay budget
 //      exhausted, TLP dead) with no job timeout armed: the host CPU spins
 //      on a completion flag that can never arrive, bounded by
@@ -51,7 +50,6 @@ TEST(Liveness, CreditLeakDeadlockDiagnosedSerial)
     // (The Runner's drained-with-jobs-outstanding check covers wedges
     // where no component keeps generating events.)
     auto cfg = SystemConfig::paper_default();
-    cfg.threads = 1;
     cfg.cpu.max_polls_per_op = 2000;
     System sys(cfg);
     sys.pcie_uplink().test_leak_credits(0);
@@ -63,27 +61,6 @@ TEST(Liveness, CreditLeakDeadlockDiagnosedSerial)
     EXPECT_EQ(sys.stat("link_up.tlps"), 0.0);
 }
 
-TEST(Liveness, CreditLeakDeadlockDiagnosedParallel)
-{
-    // Same leak under the parallel event core: the polling CPU keeps the
-    // root domain's quanta non-idle, so the poll cap again converts the
-    // wedge into a diagnostic instead of an unbounded run. The tight
-    // idle-quanta horizon (the parallel backstop for wedges with *no*
-    // event source) rides along armed.
-    auto cfg = SystemConfig::paper_default();
-    cfg.set_num_devices(2);
-    cfg.threads = 2;
-    cfg.cpu.max_polls_per_op = 2000;
-    System sys(cfg);
-    sys.sim().set_max_idle_quanta(16);
-    sys.pcie_uplink().test_leak_credits(0);
-    Runner runner(sys);
-    runner.dispatch(0, GemmSpec{32, 32, 32, 3}, Placement::host);
-    runner.dispatch(1, GemmSpec{32, 32, 32, 5}, Placement::host);
-    expect_deadlock_diagnostic([&] { (void)runner.run_dispatched(); },
-                               "component occupancy");
-}
-
 TEST(Liveness, JobToLatchedFailedLinkBoundedByPollCap)
 {
     // Device 0's link is dead from tick 0 with a tiny replay budget and
@@ -92,7 +69,6 @@ TEST(Liveness, JobToLatchedFailedLinkBoundedByPollCap)
     // poll stream is the only event source left; max_polls_per_op turns
     // the infinite spin into a diagnostic SimError.
     auto cfg = SystemConfig::paper_default();
-    cfg.threads = 1;
     cfg.cpu.max_polls_per_op = 2000;
     FaultEvent down;
     down.kind = FaultKind::link_down;
@@ -123,7 +99,6 @@ TEST(Liveness, AllEndpointsQuarantinedTerminatesWithDiagnostic)
     // at endpoints that can no longer take work.
     auto cfg = SystemConfig::paper_default();
     cfg.set_num_devices(2);
-    cfg.threads = 1;
     cfg.fault_plan.hang_rate = 1.0;
     cfg.fault_plan.job_timeout_ns = 2e5;
     cfg.fault_plan.job_max_attempts = 4;
@@ -156,7 +131,6 @@ TEST(Liveness, ServingOnFullyQuarantinedFleetTerminatesWithDiagnostic)
     }
     auto cfg = SystemConfig::paper_default();
     cfg.set_num_devices(2);
-    cfg.threads = 1;
     cfg.fault_plan.hang_rate = 1.0;
     cfg.fault_plan.job_timeout_ns = 2e5;
     cfg.fault_plan.job_max_attempts = 4;

@@ -3,12 +3,10 @@
 // with pools warmed by the first run's recycled objects — must produce
 // bit-identical stats registries and end ticks. Any field the pools fail
 // to re-initialise on reuse would show up here as a diverging counter.
-// The same contract extends to the parallel event core: a run carved
-// into per-endpoint domains on N worker threads must be bit-identical
-// to the serial run.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -16,6 +14,7 @@
 #include "mem/packet.hh"
 #include "pcie/tlp.hh"
 #include "sim/env_flags.hh"
+#include "sim/serialize.hh"
 
 namespace accesys {
 namespace {
@@ -48,19 +47,13 @@ struct SimSnapshot {
     bool verified = false;
 };
 
-/// `threads` == 0 leaves the config default (the ACCESYS_THREADS
-/// snapshot) in place; any other value pins the worker budget. A non-null
-/// `fault` installs that FaultPlan on the config.
+/// A non-null `fault` installs that FaultPlan on the config.
 SimSnapshot run_gemm_sim(std::size_t devices, std::uint32_t size,
-                         unsigned threads = 0,
                          const FaultPlan* fault = nullptr)
 {
     core::SystemConfig cfg = core::SystemConfig::paper_default();
     if (devices > 1) {
         cfg.set_num_devices(devices);
-    }
-    if (threads != 0) {
-        cfg.threads = threads;
     }
     if (fault != nullptr) {
         cfg.fault_plan = *fault;
@@ -92,21 +85,16 @@ SimSnapshot run_gemm_sim(std::size_t devices, std::uint32_t size,
 /// restore protocol: programs and closures are reconstructed, not
 /// serialized), the snapshot overwrites its dynamic state, and the run
 /// finishes. The returned snapshot must be bit-identical to the straight
-/// run's. Saving and resuming may use different worker budgets — the
-/// config hash deliberately excludes `threads`.
+/// run's.
 SimSnapshot run_gemm_split(std::size_t devices, std::uint32_t size,
-                           unsigned save_threads, unsigned restore_threads,
                            const FaultPlan* fault, Tick ckpt_at,
                            const std::string& path)
 {
     const workload::GemmSpec spec{size, size, size, /*seed=*/3};
-    auto make_cfg = [&](unsigned threads) {
+    auto make_cfg = [&] {
         core::SystemConfig cfg = core::SystemConfig::paper_default();
         if (devices > 1) {
             cfg.set_num_devices(devices);
-        }
-        if (threads != 0) {
-            cfg.threads = threads;
         }
         if (fault != nullptr) {
             cfg.fault_plan = *fault;
@@ -115,7 +103,7 @@ SimSnapshot run_gemm_split(std::size_t devices, std::uint32_t size,
     };
 
     {
-        core::System sys(make_cfg(save_threads));
+        core::System sys(make_cfg());
         core::Runner runner(sys);
         for (std::size_t d = 0; d < devices; ++d) {
             runner.dispatch(d, spec, core::Placement::host, /*verify=*/true);
@@ -127,7 +115,7 @@ SimSnapshot run_gemm_split(std::size_t devices, std::uint32_t size,
             << " before the checkpoint tick " << ckpt_at;
     }
 
-    core::System sys(make_cfg(restore_threads));
+    core::System sys(make_cfg());
     core::Runner runner(sys);
     for (std::size_t d = 0; d < devices; ++d) {
         runner.dispatch(d, spec, core::Placement::host, /*verify=*/true);
@@ -147,6 +135,14 @@ SimSnapshot run_gemm_split(std::size_t devices, std::uint32_t size,
     sys.stats().write_json(json);
     snap.stats_json = json.str();
     return snap;
+}
+
+/// End tick and both stats dumps must match byte for byte.
+void expect_identical(const SimSnapshot& want, const SimSnapshot& got)
+{
+    EXPECT_EQ(want.end_tick, got.end_tick);
+    EXPECT_EQ(want.stats_text, got.stats_text);
+    EXPECT_EQ(want.stats_json, got.stats_json);
 }
 
 TEST(PoolDeterminism, ColdVsWarmPoolsAreBitIdentical)
@@ -175,40 +171,6 @@ TEST(PoolDeterminism, MultiDeviceWarmRerunIsBitIdentical)
     EXPECT_EQ(first.end_tick, second.end_tick);
     EXPECT_EQ(first.events, second.events);
     EXPECT_EQ(first.stats_text, second.stats_text);
-}
-
-TEST(PoolDeterminism, ParallelDomainsMatchSerialBitIdentical)
-{
-    // The parallel event core's determinism contract: carving each
-    // endpoint subtree into its own quantum-synchronized domain thread
-    // (cfg.threads >= 2) must be invisible to simulation results — the
-    // end tick and both stats dumps are bit-identical to the serial run
-    // for any worker count. Each parallel System constructs cold
-    // per-domain Packet/TLP pools, so the first run is the cold case and
-    // the rerun checks run-to-run stability on warmed global pools.
-    // Event *counts* are not compared: the root queue's dispatch counter
-    // covers only the root domain in parallel runs, and cross-domain
-    // handoffs re-arm delivery events at barriers.
-    const SimSnapshot serial = run_gemm_sim(4, 32, /*threads=*/1);
-    EXPECT_TRUE(serial.verified);
-
-    for (const unsigned threads : {2U, 4U}) {
-        const SimSnapshot cold = run_gemm_sim(4, 32, threads);
-        EXPECT_TRUE(cold.verified) << "threads=" << threads;
-        EXPECT_EQ(serial.end_tick, cold.end_tick) << "threads=" << threads;
-        EXPECT_EQ(serial.stats_text, cold.stats_text)
-            << "threads=" << threads;
-        EXPECT_EQ(serial.stats_json, cold.stats_json)
-            << "threads=" << threads;
-
-        const SimSnapshot warm = run_gemm_sim(4, 32, threads);
-        EXPECT_TRUE(warm.verified) << "threads=" << threads;
-        EXPECT_EQ(serial.end_tick, warm.end_tick) << "threads=" << threads;
-        EXPECT_EQ(serial.stats_text, warm.stats_text)
-            << "threads=" << threads;
-        EXPECT_EQ(serial.stats_json, warm.stats_json)
-            << "threads=" << threads;
-    }
 }
 
 TEST(PoolDeterminism, BatchedDispatchMatchesUnbatchedBitExactly)
@@ -298,14 +260,12 @@ TEST(PoolDeterminism, LazyCreditsMatchEagerBitExactly)
         << "lazy accounting may only elide credit events, never add them";
 }
 
-TEST(PoolDeterminism, SeededFaultPlanBitIdenticalAcrossThreads)
+TEST(PoolDeterminism, SeededFaultPlanBitIdenticalOnRerun)
 {
     // The fault-injection determinism contract: per-(site, direction)
-    // corruption streams are keyed by topology registration order — which
-    // is single-threaded — and each stream is drawn only by the domain
-    // thread owning that direction's transmitter, so a fixed seeded plan
-    // (Bernoulli corruption everywhere plus a mid-run link-down window)
-    // is bit-identical for any ACCESYS_THREADS worker count.
+    // corruption streams are keyed by topology registration order, so a
+    // fixed seeded plan (Bernoulli corruption everywhere plus a mid-run
+    // link-down window) reruns bit-identically in the same process.
     FaultPlan plan;
     plan.seed = 11;
     plan.corrupt_rate = 0.01;
@@ -318,26 +278,20 @@ TEST(PoolDeterminism, SeededFaultPlanBitIdenticalAcrossThreads)
     plan.max_replays = 16;
     plan.replay_timeout_ns = 3000.0;
 
-    const SimSnapshot serial = run_gemm_sim(4, 32, /*threads=*/1, &plan);
-    EXPECT_TRUE(serial.verified) << "replay must recover every corruption";
+    const SimSnapshot first = run_gemm_sim(4, 32, &plan);
+    EXPECT_TRUE(first.verified) << "replay must recover every corruption";
 
-    for (const unsigned threads : {2U, 4U}) {
-        const SimSnapshot par = run_gemm_sim(4, 32, threads, &plan);
-        EXPECT_TRUE(par.verified) << "threads=" << threads;
-        EXPECT_EQ(serial.end_tick, par.end_tick) << "threads=" << threads;
-        EXPECT_EQ(serial.stats_text, par.stats_text)
-            << "threads=" << threads;
-        EXPECT_EQ(serial.stats_json, par.stats_json)
-            << "threads=" << threads;
-    }
+    const SimSnapshot rerun = run_gemm_sim(4, 32, &plan);
+    EXPECT_TRUE(rerun.verified);
+    expect_identical(first, rerun);
 }
 
-TEST(PoolDeterminism, DegradedRunBitIdenticalAcrossThreads)
+TEST(PoolDeterminism, DegradedRunBitIdenticalOnRerun)
 {
     // Graceful degradation must also be deterministic: with one endpoint's
     // link dead from tick 0 and completion/job timeouts armed, the failed
     // job's give-up path and the surviving endpoints' completions land on
-    // the same ticks for any worker count.
+    // the same ticks run after run.
     FaultPlan plan;
     FaultEvent down;
     down.kind = FaultKind::link_down;
@@ -350,17 +304,12 @@ TEST(PoolDeterminism, DegradedRunBitIdenticalAcrossThreads)
     plan.completion_timeout_ns = 50000.0;
     plan.job_timeout_ns = 2e6;
 
-    const SimSnapshot serial = run_gemm_sim(4, 32, /*threads=*/1, &plan);
-    EXPECT_FALSE(serial.verified) << "device 1's job must have timed out";
+    const SimSnapshot first = run_gemm_sim(4, 32, &plan);
+    EXPECT_FALSE(first.verified) << "device 1's job must have timed out";
 
-    for (const unsigned threads : {2U, 4U}) {
-        const SimSnapshot par = run_gemm_sim(4, 32, threads, &plan);
-        EXPECT_EQ(serial.end_tick, par.end_tick) << "threads=" << threads;
-        EXPECT_EQ(serial.stats_text, par.stats_text)
-            << "threads=" << threads;
-        EXPECT_EQ(serial.stats_json, par.stats_json)
-            << "threads=" << threads;
-    }
+    const SimSnapshot rerun = run_gemm_sim(4, 32, &plan);
+    EXPECT_FALSE(rerun.verified);
+    expect_identical(first, rerun);
 }
 
 TEST(PoolDeterminism, DisabledFaultsMatchEmptyPlanBitExactly)
@@ -382,7 +331,7 @@ TEST(PoolDeterminism, DisabledFaultsMatchEmptyPlanBitExactly)
     {
         const ScopedEnvFlags override_flags(
             [](EnvFlags& f) { f.faults = false; });
-        disabled = run_gemm_sim(2, 32, /*threads=*/0, &plan);
+        disabled = run_gemm_sim(2, 32, &plan);
     }
     EXPECT_TRUE(disabled.verified);
     EXPECT_EQ(clean.end_tick, disabled.end_tick);
@@ -391,49 +340,71 @@ TEST(PoolDeterminism, DisabledFaultsMatchEmptyPlanBitExactly)
     EXPECT_EQ(clean.stats_json, disabled.stats_json);
 }
 
-TEST(CheckpointRoundTrip, SplitRunBitIdenticalAcrossThreads)
+TEST(CheckpointRoundTrip, SplitRunBitIdentical)
 {
     // The checkpoint/restore bit-identity contract: a run checkpointed at
-    // its midpoint and resumed in a fresh System — for any worker count —
-    // must finish with the same end tick and byte-identical stats dumps
-    // as the uninterrupted run.
-    const SimSnapshot straight = run_gemm_sim(4, 32, /*threads=*/1);
+    // its midpoint and resumed in a fresh System must finish with the same
+    // end tick and byte-identical stats dumps as the uninterrupted run —
+    // and a second split in the same process must agree too (warm pools,
+    // reused checkpoint path).
+    const SimSnapshot straight = run_gemm_sim(4, 32);
     ASSERT_TRUE(straight.verified);
     const Tick mid = straight.end_tick / 2;
     ASSERT_GT(mid, 0u);
 
-    for (const unsigned threads : {1U, 2U, 4U}) {
-        const std::string path = ::testing::TempDir() + "roundtrip_t" +
-                                 std::to_string(threads) + ".ckpt";
-        const SimSnapshot split =
-            run_gemm_split(4, 32, threads, threads, nullptr, mid, path);
-        EXPECT_TRUE(split.verified) << "threads=" << threads;
-        EXPECT_EQ(straight.end_tick, split.end_tick)
-            << "threads=" << threads;
-        EXPECT_EQ(straight.stats_text, split.stats_text)
-            << "threads=" << threads;
-        EXPECT_EQ(straight.stats_json, split.stats_json)
-            << "threads=" << threads;
+    const std::string path = ::testing::TempDir() + "roundtrip.ckpt";
+    for (int leg = 0; leg < 2; ++leg) {
+        const SimSnapshot split = run_gemm_split(4, 32, nullptr, mid, path);
+        EXPECT_TRUE(split.verified) << "leg " << leg;
+        expect_identical(straight, split);
     }
 }
 
-TEST(CheckpointRoundTrip, SaveSerialRestoreParallel)
+TEST(CheckpointRoundTrip, RejectsPreviousFormatVersion)
 {
-    // The config hash deliberately excludes the worker budget: a snapshot
-    // written by a serial run must resume bit-identically on 4 domain
-    // threads (and the barrier-tick legality rule makes the snapshot
-    // thread-count-neutral by construction).
-    const SimSnapshot straight = run_gemm_sim(4, 32, /*threads=*/1);
-    ASSERT_TRUE(straight.verified);
-    const std::string path = ::testing::TempDir() + "roundtrip_1to4.ckpt";
+    // Snapshots are short-lived crash-recovery artifacts, not a migration
+    // surface: a file stamped with any other format version — here the
+    // previous one, 2, whose layout carried per-queue clock records — must
+    // be refused with a diagnostic naming the mismatch, never parsed.
+    core::System sys(core::SystemConfig::paper_default());
+    core::Runner runner(sys);
+    runner.dispatch(0, workload::GemmSpec{32, 32, 32, /*seed=*/3},
+                    core::Placement::host);
+    const std::string path = ::testing::TempDir() + "old_format.ckpt";
+    sys.sim().request_checkpoint_at(path, ticks_from_ns(5000.0));
+    ASSERT_TRUE(runner.run_dispatched().checkpointed);
 
-    const SimSnapshot split = run_gemm_split(
-        4, 32, /*save_threads=*/1, /*restore_threads=*/4, nullptr,
-        straight.end_tick / 2, path);
-    EXPECT_TRUE(split.verified);
-    EXPECT_EQ(straight.end_tick, split.end_tick);
-    EXPECT_EQ(straight.stats_text, split.stats_text);
-    EXPECT_EQ(straight.stats_json, split.stats_json);
+    // The file as written loads; with its header version patched it must
+    // not. Header: 8-byte magic, then the u32 little-endian version.
+    const std::uint64_t hash = sys.sim().config_hash();
+    EXPECT_NO_THROW((void)Ckpt::load_file(path, hash));
+    {
+        std::fstream f(path,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        ASSERT_TRUE(f.is_open());
+        f.seekg(sizeof(Ckpt::kMagic));
+        std::uint32_t version = 0;
+        f.read(reinterpret_cast<char*>(&version), sizeof(version));
+        ASSERT_EQ(version, Ckpt::kFormatVersion);
+        const std::uint32_t previous = 2;
+        ASSERT_NE(previous, Ckpt::kFormatVersion);
+        f.seekp(sizeof(Ckpt::kMagic));
+        f.write(reinterpret_cast<const char*>(&previous), sizeof(previous));
+    }
+    try {
+        (void)Ckpt::load_file(path, hash);
+        ADD_FAILURE() << "a v2 checkpoint was accepted";
+    } catch (const SimError& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("checkpoint format v2 unsupported"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("reads v" +
+                           std::to_string(Ckpt::kFormatVersion)),
+                  std::string::npos)
+            << msg;
+    }
+    std::remove(path.c_str());
 }
 
 TEST(CheckpointRoundTrip, MidLinkDownWindowWithSeededCorruption)
@@ -456,35 +427,28 @@ TEST(CheckpointRoundTrip, MidLinkDownWindowWithSeededCorruption)
     plan.max_replays = 16;
     plan.replay_timeout_ns = 3000.0;
 
-    const SimSnapshot straight = run_gemm_sim(4, 32, /*threads=*/1, &plan);
+    const SimSnapshot straight = run_gemm_sim(4, 32, &plan);
     ASSERT_TRUE(straight.verified);
     const Tick in_window = ticks_from_ns(8000.0); // 5000 + 10000 window
     ASSERT_GT(straight.end_tick, in_window)
         << "run must outlast the checkpoint point";
 
-    for (const unsigned threads : {1U, 2U}) {
-        const std::string path = ::testing::TempDir() + "roundtrip_fault_t" +
-                                 std::to_string(threads) + ".ckpt";
+    const std::string path = ::testing::TempDir() + "roundtrip_fault.ckpt";
+    for (int leg = 0; leg < 2; ++leg) {
         const SimSnapshot split =
-            run_gemm_split(4, 32, threads, threads, &plan, in_window, path);
-        EXPECT_TRUE(split.verified) << "threads=" << threads;
-        EXPECT_EQ(straight.end_tick, split.end_tick)
-            << "threads=" << threads;
-        EXPECT_EQ(straight.stats_text, split.stats_text)
-            << "threads=" << threads;
-        EXPECT_EQ(straight.stats_json, split.stats_json)
-            << "threads=" << threads;
+            run_gemm_split(4, 32, &plan, in_window, path);
+        EXPECT_TRUE(split.verified) << "leg " << leg;
+        expect_identical(straight, split);
     }
 }
 
-TEST(PoolDeterminism, FailoverHangPoisonFlrBitIdenticalAcrossThreads)
+TEST(PoolDeterminism, FailoverHangPoisonFlrBitIdenticalOnRerun)
 {
     // The endpoint-level fault contract: device-fault streams (hang,
     // poison) are keyed by (site, channel) in topology registration
-    // order and drawn only by the owning endpoint's domain thread, and
-    // the Runner's failover rounds (timeout -> FLR -> re-dispatch) are
-    // host-driven, so a seeded hang+poison plan with failover armed is
-    // bit-identical for any ACCESYS_THREADS worker count.
+    // order, and the Runner's failover rounds (timeout -> FLR ->
+    // re-dispatch) are host-driven, so a seeded hang+poison plan with
+    // failover armed reruns bit-identically.
     FaultPlan plan;
     plan.seed = 23;
     plan.poison_rate = 0.005;
@@ -497,19 +461,13 @@ TEST(PoolDeterminism, FailoverHangPoisonFlrBitIdenticalAcrossThreads)
     plan.job_max_attempts = 3;
     plan.flr_ns = 2000.0;
 
-    const SimSnapshot serial = run_gemm_sim(4, 32, /*threads=*/1, &plan);
-    EXPECT_TRUE(serial.verified)
+    const SimSnapshot first = run_gemm_sim(4, 32, &plan);
+    EXPECT_TRUE(first.verified)
         << "failover must re-dispatch every failed job to completion";
 
-    for (const unsigned threads : {2U, 4U}) {
-        const SimSnapshot par = run_gemm_sim(4, 32, threads, &plan);
-        EXPECT_TRUE(par.verified) << "threads=" << threads;
-        EXPECT_EQ(serial.end_tick, par.end_tick) << "threads=" << threads;
-        EXPECT_EQ(serial.stats_text, par.stats_text)
-            << "threads=" << threads;
-        EXPECT_EQ(serial.stats_json, par.stats_json)
-            << "threads=" << threads;
-    }
+    const SimSnapshot rerun = run_gemm_sim(4, 32, &plan);
+    EXPECT_TRUE(rerun.verified);
+    expect_identical(first, rerun);
 }
 
 TEST(CheckpointRoundTrip, MidFlrCheckpointRoundTripsBitIdentical)
@@ -604,16 +562,11 @@ TEST(PoolDeterminism, SteadyStateForwardingAllocatesNothing)
 {
     // Warm-up run, then measure: the second identical sim must not grow
     // either pool's heap-allocation counter — every transaction object is
-    // served from the free lists. Lifetime counters sum the global pools
-    // and every per-domain pool. Pinned to the serial path: parallel
-    // Systems own their domain pools, so a *fresh* parallel System always
-    // re-warms them — the parallel steady state holds within a System
-    // (exercised by perf_baseline's gated contention metric), not across
-    // System lifetimes.
-    (void)run_gemm_sim(1, 48, /*threads=*/1);
+    // served from the free lists.
+    (void)run_gemm_sim(1, 48);
     const std::uint64_t pkt_allocs = mem::PacketPool::lifetime_allocs();
     const std::uint64_t tlp_allocs = pcie::TlpPool::lifetime_allocs();
-    (void)run_gemm_sim(1, 48, /*threads=*/1);
+    (void)run_gemm_sim(1, 48);
     EXPECT_EQ(mem::PacketPool::lifetime_allocs(), pkt_allocs);
     EXPECT_EQ(pcie::TlpPool::lifetime_allocs(), tlp_allocs);
 }

@@ -9,8 +9,8 @@
 //     drops the queue head to admit fresh work, deadline_aware sheds
 //     jobs whose tenant SLO can no longer be met;
 //   * per-tenant quotas cap one tenant's burst;
-//   * determinism — bit-identical stats dumps for any ACCESYS_THREADS
-//     and across a mid-overload checkpoint/restore round trip;
+//   * determinism — bit-identical stats dumps on rerun and across a
+//     mid-overload checkpoint/restore round trip;
 //   * the least-loaded tie-break regression (lowest endpoint index).
 #include <gtest/gtest.h>
 
@@ -321,13 +321,10 @@ RequestGenConfig poisson_overload_config()
     return gcfg;
 }
 
-ServeSnapshot run_poisson_overload(unsigned threads)
+ServeSnapshot run_poisson_overload()
 {
     auto cfg = SystemConfig::paper_default();
     cfg.set_num_devices(4);
-    if (threads != 0) {
-        cfg.threads = threads;
-    }
     System sys(cfg);
     RequestGen gen(sys.sim(), poisson_overload_config());
     ServingConfig scfg;
@@ -337,32 +334,22 @@ ServeSnapshot run_poisson_overload(unsigned threads)
     return snapshot(sys, runner.serve(gen, scfg));
 }
 
-TEST(Serving, PoissonOverloadBitIdenticalAcrossThreads)
+TEST(Serving, PoissonOverloadBitIdenticalOnRerun)
 {
     // The serving determinism contract: the arrival schedule is a pure
     // function of the config, arrivals are consumed at ticks sampled
     // inside the CPU program, and endpoint selection is a pure function
-    // of the health table — so serial and parallel runs (any worker
-    // count) produce byte-identical stats dumps, and reruns are stable.
-    const ServeSnapshot serial = run_poisson_overload(1);
+    // of the health table — so reruns produce byte-identical stats dumps.
+    const ServeSnapshot serial = run_poisson_overload();
     EXPECT_TRUE(serial.res.accounted());
     EXPECT_GT(serial.res.offered, 10u) << "scenario must actually offer load";
     EXPECT_GT(serial.res.shed, 0u) << "scenario must actually overload";
 
-    const ServeSnapshot rerun = run_poisson_overload(1);
+    const ServeSnapshot rerun = run_poisson_overload();
+    EXPECT_TRUE(rerun.res.accounted());
     EXPECT_EQ(serial.end_tick, rerun.end_tick);
     EXPECT_EQ(serial.stats_text, rerun.stats_text);
     EXPECT_EQ(serial.stats_json, rerun.stats_json);
-
-    for (const unsigned threads : {2U, 4U}) {
-        const ServeSnapshot par = run_poisson_overload(threads);
-        EXPECT_TRUE(par.res.accounted()) << "threads=" << threads;
-        EXPECT_EQ(serial.end_tick, par.end_tick) << "threads=" << threads;
-        EXPECT_EQ(serial.stats_text, par.stats_text)
-            << "threads=" << threads;
-        EXPECT_EQ(serial.stats_json, par.stats_json)
-            << "threads=" << threads;
-    }
 }
 
 TEST(Serving, MidOverloadCheckpointRoundTripsBitIdentical)
@@ -373,7 +360,7 @@ TEST(Serving, MidOverloadCheckpointRoundTripsBitIdentical)
     // "runner.serving" hook must round-trip the queue, ledger, health
     // table and flag sequences so the resumed run finishes byte-identical
     // to the straight run.
-    const ServeSnapshot straight = run_poisson_overload(1);
+    const ServeSnapshot straight = run_poisson_overload();
     ASSERT_FALSE(straight.res.checkpointed);
     const Tick mid = straight.end_tick / 2;
     ASSERT_GT(mid, 0u);
@@ -382,7 +369,6 @@ TEST(Serving, MidOverloadCheckpointRoundTripsBitIdentical)
     {
         auto cfg = SystemConfig::paper_default();
         cfg.set_num_devices(4);
-        cfg.threads = 1;
         System sys(cfg);
         RequestGen gen(sys.sim(), poisson_overload_config());
         ServingConfig scfg;
@@ -397,10 +383,11 @@ TEST(Serving, MidOverloadCheckpointRoundTripsBitIdentical)
         EXPECT_GT(res.offered, 0u) << "overload must be underway at save";
     }
 
-    for (const unsigned threads : {1U, 2U}) {
+    // Restore twice in one process: the second resume (warm pools) must
+    // agree with the first.
+    for (int leg = 0; leg < 2; ++leg) {
         auto cfg = SystemConfig::paper_default();
         cfg.set_num_devices(4);
-        cfg.threads = threads;
         System sys(cfg);
         RequestGen gen(sys.sim(), poisson_overload_config());
         ServingConfig scfg;
@@ -409,17 +396,13 @@ TEST(Serving, MidOverloadCheckpointRoundTripsBitIdentical)
         Runner runner(sys);
         runner.set_restore_path(path);
         const ServeSnapshot resumed = snapshot(sys, runner.serve(gen, scfg));
-        EXPECT_TRUE(resumed.res.accounted()) << "threads=" << threads;
-        EXPECT_EQ(straight.end_tick, resumed.end_tick)
-            << "threads=" << threads;
-        EXPECT_EQ(straight.stats_text, resumed.stats_text)
-            << "threads=" << threads;
-        EXPECT_EQ(straight.stats_json, resumed.stats_json)
-            << "threads=" << threads;
+        EXPECT_TRUE(resumed.res.accounted()) << "leg " << leg;
+        EXPECT_EQ(straight.end_tick, resumed.end_tick) << "leg " << leg;
+        EXPECT_EQ(straight.stats_text, resumed.stats_text) << "leg " << leg;
+        EXPECT_EQ(straight.stats_json, resumed.stats_json) << "leg " << leg;
         EXPECT_EQ(straight.res.completed, resumed.res.completed)
-            << "threads=" << threads;
-        EXPECT_EQ(straight.res.shed, resumed.res.shed)
-            << "threads=" << threads;
+            << "leg " << leg;
+        EXPECT_EQ(straight.res.shed, resumed.res.shed) << "leg " << leg;
     }
     std::remove(path.c_str());
 }
